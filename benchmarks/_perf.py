@@ -28,16 +28,8 @@ from benchmarks._report import REPORT_DIR
 
 
 def machine_fingerprint() -> dict[str, Any]:
-    """Enough host identity to judge whether two timings are comparable.
-
-    Folds the *numeric stack* in as well as the host: numbers produced
-    with the numba-compiled kernel backend are not comparable to
-    pure-NumPy ones, so the fingerprint records the numba version (or
-    ``"none"``) and which backend was actually active.
-    """
+    """Enough host identity to judge whether two timings are comparable."""
     import numpy
-
-    from repro.kernels import active_backend, numba_version
 
     return {
         "platform": platform.platform(),
@@ -46,8 +38,6 @@ def machine_fingerprint() -> dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "numba": numba_version() or "none",
-        "kernel_backend": active_backend(),
     }
 
 

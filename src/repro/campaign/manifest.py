@@ -50,8 +50,8 @@ def provenance_info() -> dict[str, str]:
     """The full engine-version tuple, as a flat string table.
 
     Everything that can change a campaign's numbers: package version,
-    interpreter, NumPy build, optional numba, kernel layout/backend/
-    dtype, the MC seed scheme, and every wire-format schema tag.
+    interpreter, NumPy build, kernel layout/dtype, the MC seed scheme,
+    and every wire-format schema tag.
     ``repro versions`` prints exactly this table; manifests embed it.
     """
     import repro
@@ -59,25 +59,16 @@ def provenance_info() -> dict[str, str]:
     from repro.backends.trace import TRACE_SCHEMA
     from repro.campaign.schema import CAMPAIGN_SCHEMA
     from repro.kernels import KERNEL_LAYOUT_VERSION
-    from repro.kernels.backend import backend_token
     from repro.kernels.dtype import dtype_token
     from repro.kernels.montecarlo import MC_SEED_SCHEME
     from repro.runtime.cache import CACHE_SCHEMA
     from repro.service.protocol import SERVICE_PROTOCOL
 
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = "absent"
-
     return {
         "repro": repro.__version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "kernel_layout": KERNEL_LAYOUT_VERSION,
-        "kernel_backend": backend_token(),
         "kernel_dtype": dtype_token(),
         "mc_seed_scheme": MC_SEED_SCHEME,
         "trace_schema": TRACE_SCHEMA,

@@ -28,7 +28,7 @@ without writing any Python:
   ``resume`` it on the resilient runtime (kill it mid-run, re-invoke,
   it finishes from cache bit-identically), ``diff`` a run against a
   committed golden tree;
-* ``versions`` — the full provenance tuple (package, numpy/numba,
+* ``versions`` — the full provenance tuple (package, numpy,
   kernel layout, MC seed scheme, wire-format schemas) that campaign
   manifests embed; ``repro --version`` prints the short form.
 
@@ -957,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "versions",
-        help="print the full provenance tuple (package, numpy/numba, "
+        help="print the full provenance tuple (package, numpy, "
              "kernel layout, seed scheme, wire schemas)",
     )
     p.add_argument("--json", action="store_true",

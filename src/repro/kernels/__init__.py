@@ -54,20 +54,9 @@ contract:
 * **precision policy** (:mod:`repro.kernels.dtype`) — ``dtype=`` on
   kernel entry points and ``$REPRO_KERNEL_DTYPE``; float64 (default)
   keeps every bit-identity guarantee, float32 is opt-in with a
-  measured, documented threshold error bound;
-* **compiled backend** (:mod:`repro.kernels.backend`) — an optional
-  numba-compiled lane solver behind the same interface, mirrored
-  operation for operation so backends are bit-identical, with a
-  pure-NumPy fallback that is always available.
+  measured, documented threshold error bound.
 """
 
-from repro.kernels.backend import (
-    KERNEL_BACKEND_ENV,
-    active_backend,
-    backend_token,
-    numba_version,
-    requested_backend,
-)
 from repro.kernels.delay_law import (
     delay_grid,
     solve_supply_for_delay,
@@ -124,27 +113,22 @@ from repro.kernels.transient import (
 #: different kernel generation (or by the scalar-only era, which had no
 #: version token at all).  v2: stochastic/transient tier (Monte-Carlo
 #: draw cubes under ``MC_SEED_SCHEME``, exact-ZOH PDN stepping).
-#: v3: raw-speed tier (fused solve+decode kernels, dtype policy,
-#: optional compiled backend) — fingerprints additionally fold
-#: :func:`~repro.kernels.dtype.dtype_token` and
-#: :func:`~repro.kernels.backend.backend_token`, so float32 and
-#: compiled-backend artifacts can never alias float64/NumPy ones.
-KERNEL_LAYOUT_VERSION = "kernels/v3"
+#: v3: raw-speed tier (fused solve+decode kernels, dtype policy) —
+#: fingerprints additionally fold
+#: :func:`~repro.kernels.dtype.dtype_token`, so float32 artifacts can
+#: never alias float64 ones.  v4: the optional compiled backend and its
+#: fingerprint token are gone; NumPy is the only solver.
+KERNEL_LAYOUT_VERSION = "kernels/v4"
 
 __all__ = [
     "FLOAT32_THRESHOLD_BOUND_V",
-    "KERNEL_BACKEND_ENV",
     "KERNEL_DTYPE_ENV",
     "KERNEL_LAYOUT_VERSION",
     "MC_SEED_SCHEME",
-    "active_backend",
-    "backend_token",
     "decode_counts",
     "decode_word_rows",
     "dtype_token",
     "fused_decode",
-    "numba_version",
-    "requested_backend",
     "resolve_dtype",
     "s_curve_trip_probability_fused",
     "score_lot_grids",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels.backend import active_backend, compiled_solver
 from repro.kernels.dtype import resolve_dtype
 from repro.runtime.profiling import phase
 
@@ -79,9 +78,7 @@ def _iterate_numpy(lo: np.ndarray, hi: np.ndarray, vth_f: np.ndarray,
 
     Masked full-grid iteration: converged lanes are frozen, so lane
     results are independent of which other lanes are in the batch
-    (batch invariance).  The compiled backend
-    (:mod:`repro.kernels.backend`) mirrors this loop operation for
-    operation, one lane at a time.
+    (batch invariance).
     """
     x = 0.5 * (lo + hi)
     active = np.ones(x.shape, dtype=bool)
@@ -193,18 +190,7 @@ def solve_voltage_factor(g_target: np.ndarray,
                     "bracket; no threshold exists in the interval"
                 )
 
-        log_g = np.log(g_t)
-        solver = compiled_solver() \
-            if active_backend() == "numba" else None
-        if solver is not None:
-            x = np.asarray(solver(lo, hi, vth_f, alpha_f, log_g,
-                                  _MAX_ITER))
-            if np.any(np.isnan(x)):  # pragma: no cover - defensive
-                raise ConfigurationError(
-                    "voltage-factor solve failed to converge"
-                )
-        else:
-            x = _iterate_numpy(lo, hi, vth_f, alpha_f, log_g)
+        x = _iterate_numpy(lo, hi, vth_f, alpha_f, np.log(g_t))
         return x.reshape(shape)
 
 

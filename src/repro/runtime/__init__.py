@@ -4,22 +4,23 @@ Characterization is embarrassingly parallel: per-bit threshold
 bisections are independent across (bit, delay code) pairs, Monte-Carlo
 yield studies are independent across sampled dies, and tester-style
 S-curve extraction is independent across stages.  This package supplies
-the two pieces every such sweep needs:
+the pieces every such sweep needs:
 
-* :mod:`repro.runtime.executor` — a process-pool fan-out
-  (:func:`map_tasks`) that preserves submission order, so a parallel
-  sweep reduces to *bit-identical* results vs. the serial loop;
-* :mod:`repro.runtime.cache` — an on-disk memoization cache
-  (:class:`ResultCache`) keyed by a stable content hash of the inputs
-  (design, corner technology, delay code, bisection tolerances), with
-  hit/miss/error counters and graceful recovery from corrupt entries.
-
-* :mod:`repro.runtime.resilient` — the fault-tolerant execution
-  engine: bounded retries with deterministic backoff, per-task
+* :mod:`repro.runtime.resilient` — the one execution engine.  It runs
+  a batch serially or across a process pool, lands results in input
+  order (so a parallel sweep is *bit-identical* to the serial loop)
+  and adds bounded retries with deterministic backoff, per-task
   timeouts, worker-crash recovery (pool rebuild + resubmission of
   unfinished tasks), incremental result persistence and a
   ``raise``/``partial`` failure policy with structured
   :class:`~repro.runtime.resilient.TaskFailure` records;
+* :mod:`repro.runtime.executor` — :func:`map_tasks` and
+  :func:`cached_map`, thin adapters over the engine that return a
+  plain list, plus the ``workers=`` / ``$REPRO_WORKERS`` resolution;
+* :mod:`repro.runtime.cache` — an on-disk memoization cache
+  (:class:`ResultCache`) keyed by a stable content hash of the inputs
+  (design, corner technology, delay code, bisection tolerances), with
+  hit/miss/error counters and graceful recovery from corrupt entries;
 * :mod:`repro.runtime.chaos` — seeded fault injection (worker kills,
   cache corruption, stuck tasks) for end-to-end resilience drills;
 * :mod:`repro.runtime.shm` — zero-copy broadcast of large read-only
@@ -31,9 +32,9 @@ the two pieces every such sweep needs:
 Everything above it (``repro.core.characterization``,
 ``repro.analysis.yield_study``, ``repro.analysis.repeatability``, the
 benches and the CLI) takes ``workers=`` / ``cache=`` keyword arguments
-that default to today's serial, uncached behavior, plus ``retries=`` /
+that default to serial, uncached behavior, plus ``retries=`` /
 ``task_timeout=`` / ``failure_policy=`` resilience options that
-default to the historic fail-fast semantics.
+default to fail-fast.
 
 This module sits *below* ``repro.core``/``repro.analysis`` in the layer
 diagram: it may import only the error types and the standard library,

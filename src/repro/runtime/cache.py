@@ -118,29 +118,26 @@ def stable_hash(obj: Any) -> str:
 
 def _numeric_environment() -> tuple[str, ...]:
     """Numeric-environment tokens baked into fingerprints: (NumPy
-    version, kernel layout version, working dtype, kernel backend).
+    version, kernel layout version, working dtype).
 
     Kernel-evaluated results depend on the NumPy build's elementwise
     semantics and on the kernel layer's own numerics; folding both into
     :func:`design_fingerprint` guarantees vectorized results never
     alias entries written by a different kernel generation — or by the
     scalar-only era, whose fingerprints carried no version tokens.
-    The dtype and backend tokens extend the same guarantee to the
-    raw-speed tier: float32 results can never be served to a float64
-    consumer, and compiled-backend artifacts never alias pure-NumPy
-    ones (defense in depth — the backends are designed bit-identical,
-    but a cache must not *depend* on that).  Imported lazily: the
+    The dtype token extends the same guarantee to the raw-speed tier:
+    float32 results can never be served to a float64 consumer.
+    Imported lazily: the
     runtime layer must not depend on :mod:`repro.kernels` at import
     time.
     """
     import numpy
 
     from repro.kernels import KERNEL_LAYOUT_VERSION
-    from repro.kernels.backend import backend_token
     from repro.kernels.dtype import dtype_token
 
     return (f"numpy/{numpy.__version__}", KERNEL_LAYOUT_VERSION,
-            dtype_token(), backend_token())
+            dtype_token())
 
 
 def design_fingerprint(design: Any, *, backend: Any = None) -> str:

@@ -1,18 +1,20 @@
 """Process-pool fan-out with serial-identical semantics.
 
-:func:`map_tasks` is the single primitive every sweep builds on.  Its
-contract is deliberately stronger than "run these concurrently":
+:func:`map_tasks` and :func:`cached_map` are the primitives every sweep
+builds on: thin adapters over the one execution engine in
+:mod:`repro.runtime.resilient` that return a plain ``list`` unless
+``failure_policy="partial"``.  Their contract is deliberately stronger
+than "run these concurrently":
 
-* **Order preservation** — results come back in submission order
-  (``ProcessPoolExecutor.map``), so a reducer that folds them in a
-  loop sees *exactly* the operand sequence of the serial code path,
-  and floating-point reductions stay bit-identical.
+* **Order preservation** — results come back in submission order, so
+  a reducer that folds them in a loop sees *exactly* the operand
+  sequence of the serial code path, and floating-point reductions
+  stay bit-identical.
 * **Determinism** — tasks must be pure functions of their argument
   tuple.  Anything seeded derives its seed from the task payload
   (die index, bit number), never from pool scheduling.
-* **Serial fallback** — ``workers=None``/``0``/``1`` runs the plain
-  list comprehension in-process: no pool, no pickling, no behavior
-  change for existing callers.
+* **Serial fallback** — ``workers=None``/``0``/``1`` runs every task
+  in-process: no pool, no pickling.
 
 Worker callables must be module-level (picklable).  The wired sweeps
 each define a tiny ``_*_task`` adapter next to the physics they call.
@@ -21,20 +23,11 @@ each define a tiny ``_*_task`` adapter next to the physics they call.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Sequence,
-    TypeVar,
-)
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
-from repro.runtime.cache import ResultCache, resolve_cache
-from repro.runtime.profiling import PROFILER
+from repro.runtime.cache import ResultCache
+from repro.runtime.resilient import resilient_cached_map, resilient_map
 
 #: Environment variable for sweeps without an explicit ``workers=``
 #: (benches, examples): unset/empty means serial.
@@ -75,58 +68,8 @@ def env_workers(default: int | None = None) -> int | None:
         ) from None
 
 
-def _iter_map(fn: Callable[..., _R], payloads: Sequence[_T],
-              workers: int | None, chunksize: int,
-              shared: "Mapping[str, Any] | None" = None) -> Iterator[_R]:
-    """Yield ``fn(x)`` per payload *in submission order, as computed*.
-
-    The streaming core of :func:`map_tasks` and :func:`cached_map`:
-    consumers that persist each result as it arrives (incremental
-    ``store.put()``) survive a crash mid-sweep with all completed work
-    intact, while the yielded order stays bit-identical to serial.
-
-    With ``shared``, tasks are called as ``fn(payload, arrays)``: the
-    named arrays ride POSIX shared memory to the pool (one copy-in
-    total instead of one pickle per task — see
-    :mod:`repro.runtime.shm`) and read-only views in the serial path,
-    so the bytes each task sees are identical either way.
-    """
-    n = min(resolve_workers(workers), len(payloads))
-    if shared is not None:
-        from repro.runtime.shm import SharedArrayPool, SharedTask, \
-            _readonly_views
-
-        if n <= 1:
-            arrays = _readonly_views(shared)
-            for item in payloads:
-                yield fn(item, arrays)
-            return
-        with SharedArrayPool(shared) as shm_pool:
-            task = SharedTask(fn, shm_pool.handles)
-            shm_pool.charge_tasks(len(payloads))
-            with PROFILER.measure("runtime.pool"), \
-                    ProcessPoolExecutor(max_workers=n) as pool:
-                yield from pool.map(task, payloads,
-                                    chunksize=max(1, chunksize))
-        return
-    if n <= 1:
-        for item in payloads:
-            yield fn(item)
-        return
-    with PROFILER.measure("runtime.pool"), \
-            ProcessPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(fn, payloads, chunksize=max(1, chunksize))
-
-
-def _wants_resilience(retries: int, task_timeout: float | None,
-                      failure_policy: str) -> bool:
-    return bool(retries) or task_timeout is not None \
-        or failure_policy != "raise"
-
-
 def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
               workers: int | None = None,
-              chunksize: int = 1,
               retries: int = 0,
               task_timeout: float | None = None,
               failure_policy: str = "raise",
@@ -142,16 +85,13 @@ def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
         items: Task payloads (materialized once, in order).
         workers: Pool size per :func:`resolve_workers`; <= 1 runs
             serial in-process.
-        chunksize: Payload batching for the pool (latency knob only;
-            ignored when resilience options are active).
         retries: Extra attempts per failed task (exponential backoff
             with deterministic jitter — see
             :class:`repro.runtime.resilient.RetryPolicy`).
         task_timeout: Per-task wall-clock budget, seconds.
         failure_policy: ``"raise"`` (default — a failure past its
-            budget aborts the sweep, bit-identical to the historic
-            behavior) or ``"partial"`` (the sweep completes; the
-            return value becomes a
+            budget aborts the sweep) or ``"partial"`` (the sweep
+            completes; the return value becomes a
             :class:`~repro.runtime.resilient.MapOutcome` whose failed
             slots are ``None`` plus structured ``TaskFailure``
             records).
@@ -166,26 +106,18 @@ def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
         a :class:`~repro.runtime.resilient.MapOutcome` under
         ``"partial"``.
     """
-    payloads: Sequence[_T] = list(items)
-    if _wants_resilience(retries, task_timeout, failure_policy):
-        from repro.runtime.resilient import resilient_map
-
-        outcome = resilient_map(
-            fn, payloads, workers=workers, retries=retries,
-            task_timeout=task_timeout, failure_policy=failure_policy,
-            shared=shared,
-        )
-        return outcome if failure_policy == "partial" \
-            else outcome.results
-    return list(_iter_map(fn, payloads, workers, chunksize,
-                          shared=shared))
+    outcome = resilient_map(
+        fn, items, workers=workers, retries=retries,
+        task_timeout=task_timeout, failure_policy=failure_policy,
+        shared=shared,
+    )
+    return outcome if failure_policy == "partial" else outcome.results
 
 
 def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
                keys: Sequence[str] | None = None,
                cache: "ResultCache | str | os.PathLike[str] | None" = None,
                workers: int | None = None,
-               chunksize: int = 1,
                retries: int = 0,
                task_timeout: float | None = None,
                failure_policy: str = "raise",
@@ -194,10 +126,9 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
 
     Every memoized sweep in the repo reduces to this: look each item's
     key up in the parent process (so the cache's hit/miss counters are
-    authoritative), fan only the misses out to the pool, then stitch
-    hits and fresh results back together in submission order — which
-    keeps the cached/parallel result bit-identical to the direct serial
-    one.
+    authoritative), fan only the misses out to the pool, and fill hits
+    and fresh results into their input slots — which keeps the
+    cached/parallel result bit-identical to the direct serial one.
 
     Persistence is *incremental*: each computed result is
     ``store.put()`` as soon as it is available, so a crash mid-sweep
@@ -212,8 +143,6 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
         cache: A :class:`ResultCache`, a cache directory, or ``None``
             (no memoization).
         workers: Pool size for the misses (<= 1: serial in-process).
-        chunksize: Payload batching for the pool (ignored when
-            resilience options are active).
         retries / task_timeout / failure_policy: Resilience options as
             in :func:`map_tasks` — under ``"partial"`` the return
             value is a :class:`~repro.runtime.resilient.MapOutcome`.
@@ -221,36 +150,9 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
             ``fn(payload, arrays)``); cache keys must already account
             for the shared contents.
     """
-    if _wants_resilience(retries, task_timeout, failure_policy):
-        from repro.runtime.resilient import resilient_cached_map
-
-        outcome = resilient_cached_map(
-            fn, items, keys=keys, cache=cache, workers=workers,
-            retries=retries, task_timeout=task_timeout,
-            failure_policy=failure_policy, shared=shared,
-        )
-        return outcome if failure_policy == "partial" \
-            else outcome.results
-    store = resolve_cache(cache)
-    payloads: Sequence[_T] = list(items)
-    if store is None or keys is None:
-        return map_tasks(fn, payloads, workers=workers,
-                         chunksize=chunksize, shared=shared)
-    if len(keys) != len(payloads):
-        raise ConfigurationError(
-            f"got {len(keys)} cache keys for {len(payloads)} items"
-        )
-    results: list[Any] = [None] * len(payloads)
-    pending: list[tuple[int, _T]] = []
-    for i, (item, key) in enumerate(zip(payloads, keys)):
-        hit, value = store.get(key)
-        if hit:
-            results[i] = value
-        else:
-            pending.append((i, item))
-    computed = _iter_map(fn, [item for _, item in pending],
-                         workers, chunksize, shared=shared)
-    for (i, _), value in zip(pending, computed):
-        results[i] = value
-        store.put(keys[i], value)
-    return results
+    outcome = resilient_cached_map(
+        fn, items, keys=keys, cache=cache, workers=workers,
+        retries=retries, task_timeout=task_timeout,
+        failure_policy=failure_policy, shared=shared,
+    )
+    return outcome if failure_policy == "partial" else outcome.results

@@ -1,11 +1,15 @@
-"""Fault-tolerant task execution: retries, timeouts, crash recovery.
+"""The execution engine: serial or pooled, with retries, timeouts and
+crash recovery.
 
-:func:`map_tasks <repro.runtime.executor.map_tasks>` answers "run these
-concurrently, bit-identically"; this module answers the reciprocal
-robustness question — *what happens when a worker dies mid-sweep?*  The
-paper pitches the sensor as infrastructure deployed "on a systematic
-basis ... as scan chains are for fault verification"; an infrastructure
-runtime has to survive the faults its own payload can detect:
+Every sweep in the repo runs here; :func:`map_tasks
+<repro.runtime.executor.map_tasks>` and :func:`cached_map
+<repro.runtime.executor.cached_map>` are thin adapters over
+:func:`resilient_map` / :func:`resilient_cached_map`.  Results land in
+input order whatever the completion order, so a pooled sweep is
+bit-identical to the serial one.  The paper pitches the sensor as
+infrastructure deployed "on a systematic basis ... as scan chains are
+for fault verification"; an infrastructure runtime has to survive the
+faults its own payload can detect:
 
 * **Bounded retries with deterministic backoff.**  A failed attempt is
   retried up to ``retries`` times.  The backoff grows exponentially and
@@ -38,7 +42,15 @@ runtime has to survive the faults its own payload can detect:
 
 Task exceptions never break the pool: the worker-side guard returns
 ``("ok", value)`` or ``("err", exc, traceback)`` so only a genuine
-process death produces ``BrokenProcessPool``.
+process death produces ``BrokenProcessPool``.  The worker's traceback
+text is chained as the exception's ``__cause__``, as
+``ProcessPoolExecutor.map`` does.
+
+In-flight tasks are limited to one per worker wherever a failure is
+survivable (retries, a deadline, or ``"partial"``): a crash charges
+every in-flight task an attempt, and a deadline must measure run time,
+not queueing.  When any failure aborts the sweep anyway, every task is
+queued up front so workers never idle between tasks.
 """
 
 from __future__ import annotations
@@ -47,11 +59,12 @@ import hashlib
 import heapq
 import itertools
 import pickle
+import queue
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, _RemoteTraceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Literal, Mapping, Sequence
 
@@ -61,6 +74,9 @@ from repro.errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
+from repro.runtime.cache import resolve_cache
+from repro.runtime.profiling import PROFILER
+from repro.runtime.shm import SharedArrayPool, SharedTask, _readonly_views
 
 FailurePolicy = Literal["raise", "partial"]
 
@@ -318,45 +334,51 @@ class _Run:
 
     def run_pool(self) -> None:
         n = max(1, self.workers)
+        timed = self.policy.task_timeout is not None
+        # In-flight window: see the module docstring.
+        survivable = (self.policy.retries > 0 or timed
+                      or self.failure_policy == "partial")
+        window = n if survivable else len(self.slots)
         pool = ProcessPoolExecutor(max_workers=n)
         ready: deque[_Slot] = deque(self.slots)
         delayed: list[tuple[float, int, _Slot]] = []
         tie = itertools.count()
         inflight: dict = {}
+        # Futures post themselves here on completion, so each result
+        # costs O(1) to collect however many tasks are queued.
+        finished: queue.SimpleQueue = queue.SimpleQueue()
         try:
             while ready or delayed or inflight:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     ready.append(heapq.heappop(delayed)[2])
-                # Window submission: at most one task per worker in
-                # flight, so submit time approximates start time and
-                # deadlines measure actual runtime.
-                while ready and len(inflight) < n:
+                while ready and len(inflight) < window:
                     slot = ready.popleft()
                     fut = pool.submit(_guarded, (self.fn, slot.item))
-                    slot.deadline = (
-                        now + self.policy.task_timeout
-                        if self.policy.task_timeout is not None else None
-                    )
+                    slot.deadline = (now + self.policy.task_timeout
+                                     if timed else None)
                     inflight[fut] = slot
+                    fut.add_done_callback(finished.put)
                 if not inflight:
                     if delayed:
                         time.sleep(max(0.0,
                                        delayed[0][0] - time.monotonic()))
                     continue
 
-                horizon = [s.deadline for s in inflight.values()
-                           if s.deadline is not None]
+                horizon = ([s.deadline for s in inflight.values()]
+                           if timed else [])
                 if delayed:
                     horizon.append(delayed[0][0])
                 timeout = (max(0.0, min(horizon) - time.monotonic())
                            if horizon else None)
-                done, _ = wait(set(inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                done = _drain(finished, timeout)
 
                 crashed = False
                 for fut in done:
-                    slot = inflight.pop(fut)
+                    # Futures of a torn-down pool were already charged.
+                    slot = inflight.pop(fut, None)
+                    if slot is None:
+                        continue
                     try:
                         tag = fut.result()
                     except BrokenProcessPool:
@@ -376,7 +398,8 @@ class _Run:
                         self.stats.completed += 1
                         self.on_ok(slot.index, tag[1])
                     else:
-                        _, exc, _tb = tag
+                        _, exc, tb = tag
+                        exc.__cause__ = _RemoteTraceback(f'\n"""\n{tb}"""')
                         self._retry_or_fail(slot, delayed, tie, "error",
                                             exc, f"{exc}")
 
@@ -394,10 +417,11 @@ class _Run:
                     pool = self._rebuild(pool, n)
                     continue
 
+                if not timed:
+                    continue
                 now = time.monotonic()
                 expired = [(fut, slot) for fut, slot in inflight.items()
-                           if slot.deadline is not None
-                           and slot.deadline <= now and not fut.done()]
+                           if slot.deadline <= now and not fut.done()]
                 if expired:
                     for fut, slot in expired:
                         inflight.pop(fut)
@@ -415,8 +439,7 @@ class _Run:
         except BaseException:
             _kill_pool(pool)
             raise
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True)
 
     def _retry_or_fail(self, slot: _Slot, delayed: list, tie,
                        kind: str, cause: BaseException | None,
@@ -431,6 +454,20 @@ class _Run:
         self.stats.pool_rebuilds += 1
         _kill_pool(pool)
         return ProcessPoolExecutor(max_workers=n)
+
+
+def _drain(finished: queue.SimpleQueue, timeout: float | None) -> list:
+    """Every future posted to ``finished``, waiting up to ``timeout``
+    seconds (``None``: indefinitely) for the first one."""
+    try:
+        done = [finished.get(timeout=timeout)]
+    except queue.Empty:
+        return []
+    while True:
+        try:
+            done.append(finished.get_nowait())
+        except queue.Empty:
+            return done
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -454,8 +491,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 # -- public API ----------------------------------------------------------------
 
 
-def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
-             shared: "Mapping[str, Any] | None") -> None:
+def _execute(run: _Run, shared: "Mapping[str, Any] | None") -> None:
     """Drive one prepared :class:`_Run`, optionally with broadcast
     arrays riding shared memory (pool) or read-only views (serial).
 
@@ -463,28 +499,55 @@ def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
     parent, so after a worker crash the rebuilt pool's fresh workers
     simply re-attach by name and the campaign continues.
     """
-    n = min(run.workers, n_slots)
-    use_pool = not (n <= 1 and run.policy.task_timeout is None)
-    if shared is None:
-        if use_pool:
-            run.workers = n
-            run.run_pool()
-        else:
-            run.run_serial()
-        return
-    from repro.runtime.shm import SharedArrayPool, SharedTask, \
-        _readonly_views
-
-    if use_pool:
-        with SharedArrayPool(shared) as shm_pool:
-            run.fn = SharedTask(fn, shm_pool.handles)
-            shm_pool.charge_tasks(n_slots)
-            run.workers = n
-            run.run_pool()
-    else:
-        arrays = _readonly_views(shared)
-        run.fn = lambda item: fn(item, arrays)
+    fn = run.fn
+    n = min(run.workers, len(run.slots))
+    if n <= 1 and run.policy.task_timeout is None:
+        if shared is not None:
+            arrays = _readonly_views(shared)
+            run.fn = lambda item: fn(item, arrays)
         run.run_serial()
+        return
+    run.workers = n
+    if shared is None:
+        with PROFILER.measure("runtime.pool"):
+            run.run_pool()
+        return
+    with SharedArrayPool(shared) as shm_pool:
+        run.fn = SharedTask(fn, shm_pool.handles)
+        shm_pool.charge_tasks(len(run.slots))
+        with PROFILER.measure("runtime.pool"):
+            run.run_pool()
+
+
+def _map_pending(fn: Callable[..., Any], pending: list[tuple[int, Any]],
+                 results: list[Any], stats: RunStats, *,
+                 workers: int | None, retries: int,
+                 task_timeout: float | None, policy: RetryPolicy | None,
+                 failure_policy: FailurePolicy,
+                 keys: Sequence[str] | None,
+                 on_result: Callable[[int, Any], None] | None,
+                 shared: "Mapping[str, Any] | None") -> MapOutcome:
+    """Run the ``(index, item)`` tasks in ``pending``, filling their
+    slots of ``results``; the common tail of both public maps."""
+    # Imported here: the executor module imports this one at load time.
+    from repro.runtime.executor import resolve_workers
+
+    if policy is None:
+        policy = RetryPolicy(retries=retries, task_timeout=task_timeout)
+
+    def on_ok(index: int, value: Any) -> None:
+        results[index] = value
+        if on_result is not None:
+            on_result(index, value)
+
+    run = _Run(fn, [_Slot(index=i, item=item) for i, item in pending],
+               workers=resolve_workers(workers), policy=policy,
+               failure_policy=failure_policy, keys=keys, on_ok=on_ok,
+               stats=stats)
+    if run.slots:
+        _execute(run, shared)
+    return MapOutcome(results=results, failures=tuple(run.failures),
+                      stats=stats)
 
 
 def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
@@ -521,37 +584,18 @@ def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
         A :class:`MapOutcome` — under ``"raise"`` its ``failures`` is
         always empty (a failure would have raised instead).
     """
-    from repro.runtime.executor import resolve_workers
-
     payloads = list(items)
-    if policy is None:
-        policy = RetryPolicy(retries=retries, task_timeout=task_timeout)
-    if failure_policy not in FAILURE_POLICIES:
-        raise ConfigurationError(
-            f"failure_policy must be one of {FAILURE_POLICIES}, "
-            f"got {failure_policy!r}"
-        )
     if keys is not None and len(keys) != len(payloads):
         raise ConfigurationError(
             f"got {len(keys)} keys for {len(payloads)} items"
         )
-    results: list[Any] = [None] * len(payloads)
-    stats = RunStats(tasks=len(payloads))
-
-    def on_ok(index: int, value: Any) -> None:
-        results[index] = value
-        if on_result is not None:
-            on_result(index, value)
-
-    slots = [_Slot(index=i, item=item)
-             for i, item in enumerate(payloads)]
-    run = _Run(fn, slots, workers=resolve_workers(workers),
-               policy=policy, failure_policy=failure_policy, keys=keys,
-               on_ok=on_ok, stats=stats)
-    if slots:
-        _execute(run, fn, len(slots), shared)
-    return MapOutcome(results=results, failures=tuple(run.failures),
-                      stats=stats)
+    return _map_pending(
+        fn, list(enumerate(payloads)), [None] * len(payloads),
+        RunStats(tasks=len(payloads)), workers=workers, retries=retries,
+        task_timeout=task_timeout, policy=policy,
+        failure_policy=failure_policy, keys=keys, on_result=on_result,
+        shared=shared,
+    )
 
 
 def resilient_cached_map(fn: Callable[[Any], Any],
@@ -571,11 +615,9 @@ def resilient_cached_map(fn: Callable[[Any], Any],
     work on disk.
 
     Cache lookups happen up front in the parent process (hit/miss
-    counters stay authoritative); only the misses enter the resilient
-    engine.
+    counters stay authoritative); only the misses enter the engine.
+    ``keys=None`` or ``cache=None`` disables memoization.
     """
-    from repro.runtime.cache import resolve_cache
-
     store = resolve_cache(cache)
     payloads = list(items)
     if store is None or keys is None:
@@ -590,30 +632,19 @@ def resilient_cached_map(fn: Callable[[Any], Any],
         )
     results: list[Any] = [None] * len(payloads)
     pending: list[tuple[int, Any]] = []
-    hits = 0
     for i, (item, key) in enumerate(zip(payloads, keys)):
         hit, value = store.get(key)
         if hit:
             results[i] = value
-            hits += 1
         else:
             pending.append((i, item))
-    if policy is None:
-        policy = RetryPolicy(retries=retries, task_timeout=task_timeout)
-    stats = RunStats(tasks=len(pending), cache_hits=hits,
+    stats = RunStats(tasks=len(pending),
+                     cache_hits=len(payloads) - len(pending),
                      cache_misses=len(pending))
-
-    def on_ok(index: int, value: Any) -> None:
-        results[index] = value
-        store.put(keys[index], value)
-
-    slots = [_Slot(index=i, item=item) for i, item in pending]
-    from repro.runtime.executor import resolve_workers
-
-    run = _Run(fn, slots, workers=resolve_workers(workers),
-               policy=policy, failure_policy=failure_policy, keys=keys,
-               on_ok=on_ok, stats=stats)
-    if slots:
-        _execute(run, fn, len(slots), shared)
-    return MapOutcome(results=results, failures=tuple(run.failures),
-                      stats=stats)
+    return _map_pending(
+        fn, pending, results, stats, workers=workers, retries=retries,
+        task_timeout=task_timeout, policy=policy,
+        failure_policy=failure_policy, keys=keys,
+        on_result=lambda i, value: store.put(keys[i], value),
+        shared=shared,
+    )

@@ -1,14 +1,12 @@
-"""Precision policy and backend selection: the float32 contract.
+"""Precision policy: the float32 contract.
 
 The float32 fast path is *opt-in with a documented bound*: solved
 thresholds within :data:`FLOAT32_THRESHOLD_BOUND_V` of the float64
 oracle, decoded words bit-identical wherever the supply clears every
 threshold by more than the bound.  Hypothesis drives both claims
 across design variants, process corners and masked-bit arrays.  The
-backend half pins the ``$REPRO_KERNEL_BACKEND`` selection rules and —
-critically — that dtype and backend are folded into cache
-fingerprints, so artifacts from different numeric stacks can never
-collide.
+dtype is folded into cache fingerprints, so float32 and float64
+artifacts can never collide.
 """
 
 from __future__ import annotations
@@ -17,18 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import repro.kernels.backend as backend_mod
 from repro.devices.corners import CORNERS, corner_by_name
 from repro.errors import ConfigurationError
 from repro.kernels import (
     FLOAT32_THRESHOLD_BOUND_V,
-    KERNEL_BACKEND_ENV,
     KERNEL_DTYPE_ENV,
-    active_backend,
-    backend_token,
     dtype_token,
-    numba_version,
-    requested_backend,
     resolve_dtype,
     threshold_grid,
     word_grid,
@@ -131,51 +123,6 @@ class TestFloat32Bound:
         np.testing.assert_array_equal(w32, w64)
 
 
-class TestBackendSelection:
-    def test_requested_default_auto(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert requested_backend() == "auto"
-
-    def test_requested_validation(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "cuda")
-        with pytest.raises(ConfigurationError):
-            requested_backend()
-
-    def test_forced_numpy(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numpy")
-        assert active_backend() == "numpy"
-        assert backend_token() == "backend/numpy"
-
-    def test_numba_request_without_numba_raises(self, monkeypatch):
-        if numba_version() is not None:
-            pytest.skip("numba importable here; raise path untestable")
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numba")
-        with pytest.raises(ConfigurationError):
-            active_backend()
-
-    def test_simulated_numba_resolves_auto(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        monkeypatch.setattr(backend_mod, "_disabled", False)
-        assert active_backend() == "numba"
-        assert backend_token() == "backend/numba-0.59.0"
-
-    def test_simulated_numba_still_forceable_to_numpy(self,
-                                                      monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numpy")
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        assert active_backend() == "numpy"
-
-    def test_disabled_compile_falls_back(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        monkeypatch.setattr(backend_mod, "_disabled", True)
-        assert active_backend() == "numpy"
-
-
 class TestFingerprintIsolation:
     """Numeric-stack state must be visible in every cache identity."""
 
@@ -184,15 +131,6 @@ class TestFingerprintIsolation:
         fp64 = design_fingerprint(design)
         monkeypatch.setenv(KERNEL_DTYPE_ENV, "float32")
         assert design_fingerprint(design) != fp64
-
-    def test_backend_changes_fingerprint(self, design, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache", None)
-        fp_numpy = design_fingerprint(design)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        monkeypatch.setattr(backend_mod, "_disabled", False)
-        assert design_fingerprint(design) != fp_numpy
 
     def test_task_keys_distinct_per_dtype(self, design, monkeypatch):
         monkeypatch.delenv(KERNEL_DTYPE_ENV, raising=False)

@@ -1,10 +1,11 @@
 """The fault-tolerant sweep runtime, exercised fault by fault.
 
 Covers the resilient engine (retries, backoff determinism, failure
-policies, crash recovery, per-task timeouts), the incremental cache
-persistence of both executor paths, cache robustness under concurrent
-writers and torn entries, graceful degradation on unwritable cache
-dirs, and the CLI plumbing of the resilience flags.
+policies, crash recovery, per-task timeouts, the in-flight window),
+the incremental cache persistence of the cached maps, cache
+robustness under concurrent writers and torn entries, graceful
+degradation on unwritable cache dirs, and the CLI plumbing of the
+resilience flags.
 
 Worker-kill and timeout tests use the seeded chaos primitives from
 :mod:`repro.runtime.chaos`; everything is deterministic and bounded.
@@ -18,6 +19,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -27,6 +29,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.runtime import (
+    PROFILER,
     ChaosMonkey,
     KillOnceTask,
     MapOutcome,
@@ -48,6 +51,10 @@ from repro.runtime.resilient import _jitter_fraction
 
 def _square(x):
     return x * x
+
+
+def _square_plus(x, arrays):
+    return x * x + float(arrays["offset"][x])
 
 
 def _always_fails(x):
@@ -111,7 +118,7 @@ def test_retry_policy_validation():
 
 # -- resilient_map: happy paths ----------------------------------------------
 
-def test_resilient_map_matches_plain_map_serial_and_pool():
+def test_resilient_map_matches_plain_map_serial_and_pool(tmp_path):
     items = list(range(8))
     expect = [x * x for x in items]
     serial = resilient_map(_square, items)
@@ -119,6 +126,44 @@ def test_resilient_map_matches_plain_map_serial_and_pool():
     assert serial.results == expect == pooled.results
     assert serial.ok and pooled.ok
     assert serial.stats.completed == len(items)
+
+    offset = np.arange(len(items), dtype=float) / 3.0
+    shared = {"offset": offset}
+    expect_shared = [x * x + float(offset[x]) for x in items]
+    keys = [task_key("square-plus", i) for i in items]
+    for workers in (1, 2):
+        out = resilient_map(_square_plus, items, workers=workers,
+                            shared=shared)
+        assert out.results == expect_shared
+        assert map_tasks(_square_plus, items, workers=workers,
+                         shared=shared) == expect_shared
+        cache = ResultCache(tmp_path / f"c{workers}")
+        cold = resilient_cached_map(_square_plus, items, keys=keys,
+                                    cache=cache, workers=workers,
+                                    shared=shared)
+        warm = resilient_cached_map(_square_plus, items, keys=keys,
+                                    cache=cache, workers=workers,
+                                    shared=shared)
+        assert cold.results == warm.results == expect_shared
+        assert cold.stats.cache_misses == len(items)
+        assert warm.stats.cache_hits == len(items)
+        assert warm.stats.tasks == 0
+        assert cached_map(_square_plus, items, keys=keys, cache=cache,
+                          workers=workers, shared=shared) \
+            == expect_shared
+
+
+def test_pool_phase_recorded_with_retries():
+    PROFILER.reset()
+    PROFILER.enable()
+    try:
+        out = resilient_map(_square, range(4), workers=2, retries=1)
+        snapshot = PROFILER.snapshot()
+    finally:
+        PROFILER.disable()
+        PROFILER.reset()
+    assert out.results == [0, 1, 4, 9]
+    assert "runtime.pool" in snapshot
 
 
 def test_resilient_map_empty_batch():
@@ -160,6 +205,13 @@ def test_raise_without_retries_propagates_original_exception():
     # The plain executor path behaves identically.
     with pytest.raises(ValueError, match="two is cursed"):
         map_tasks(_fails_for_two, [1, 2, 3])
+
+
+@pytest.mark.parametrize("run", [map_tasks, resilient_map])
+def test_pool_task_error_keeps_worker_traceback(run):
+    with pytest.raises(ValueError, match="two is cursed") as info:
+        run(_fails_for_two, [1, 2, 3], workers=2)
+    assert "_fails_for_two" in str(info.value.__cause__)
 
 
 def test_raise_with_retries_wraps_as_retry_exhausted():
@@ -208,6 +260,19 @@ def test_crash_recovery_rebuilds_pool_and_completes(tmp_path):
     assert out.results == [0, 1, 4, 9, 16, 25]
     assert out.stats.crashes >= 1
     assert out.stats.pool_rebuilds >= 1
+
+
+def test_crash_charges_only_the_inflight_window(tmp_path):
+    # With failures survivable, at most one task per worker is in
+    # flight, so one worker death charges at most two attempts.
+    killer = KillOnceTask(fn=_square, kill_indices=frozenset({2}),
+                          marker_dir=str(tmp_path))
+    out = resilient_map(killer, enumerate_for(range(6)), workers=2,
+                        retries=1, failure_policy="partial")
+    assert out.ok
+    assert out.results == [0, 1, 4, 9, 16, 25]
+    assert out.stats.crashes == 1
+    assert out.stats.retries <= 2
 
 
 def test_crash_without_retries_raises_worker_crash_error(tmp_path):
